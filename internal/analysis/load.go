@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,7 +84,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 
 // LoadModule walks the module rooted at root (its go.mod names the
 // module path), loading every non-test package. testdata, vendor, and
-// dot/underscore directories are skipped, as all Go tooling does.
+// dot/underscore directories are skipped, as all Go tooling does, and
+// so is any subdirectory with its own go.mod: it is a nested module,
+// which `go build ./...` and `go vet ./...` leave out too.
 func (l *Loader) LoadModule(root string) ([]*Package, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -102,6 +106,13 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 		if path != root && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			} else if !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
 		}
 		ok, err := hasGoFiles(path)
 		if err != nil {

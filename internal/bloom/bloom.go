@@ -17,7 +17,10 @@ import (
 )
 
 // Filter is a standard k-hash Bloom filter over chunk fingerprints.
-// The zero value is not usable; construct with New.
+// The zero value is not usable; construct with New. The bit array is
+// allocated on the first Add: until then every key is absent, exactly
+// as in a zeroed array, and opening an index that never inserts costs
+// no multi-megabyte allocation.
 //
 // Filter is not safe for concurrent use; callers that share one across
 // goroutines must synchronize externally.
@@ -47,11 +50,7 @@ func New(n int, p float64) (*Filter, error) {
 	if k < 1 {
 		k = 1
 	}
-	return &Filter{
-		bits:   make([]uint64, (m+63)/64),
-		nbits:  m,
-		hashes: k,
-	}, nil
+	return &Filter{nbits: m, hashes: k}, nil
 }
 
 // indexes derives the k bit positions for a fingerprint using the
@@ -68,6 +67,9 @@ func (f *Filter) indexes(key fp.FP, out []uint64) {
 
 // Add inserts a fingerprint.
 func (f *Filter) Add(key fp.FP) {
+	if f.bits == nil {
+		f.bits = make([]uint64, f.words())
+	}
 	idx := make([]uint64, f.hashes)
 	f.indexes(key, idx)
 	for _, b := range idx {
@@ -79,6 +81,9 @@ func (f *Filter) Add(key fp.FP) {
 // MayContain reports whether the fingerprint might have been added.
 // False means definitely not added; true may be a false positive.
 func (f *Filter) MayContain(key fp.FP) bool {
+	if f.bits == nil {
+		return false
+	}
 	idx := make([]uint64, f.hashes)
 	f.indexes(key, idx)
 	for _, b := range idx {
@@ -92,8 +97,12 @@ func (f *Filter) MayContain(key fp.FP) bool {
 // Added returns the number of Add calls so far.
 func (f *Filter) Added() uint64 { return f.added }
 
-// SizeBytes returns the memory footprint of the bit array.
-func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
+// SizeBytes returns the memory footprint of the bit array, whether or
+// not the first Add has allocated it yet.
+func (f *Filter) SizeBytes() int { return f.words() * 8 }
+
+// words is the bit array's length in 64-bit words.
+func (f *Filter) words() int { return int((f.nbits + 63) / 64) }
 
 // EstimatedFalsePositiveRate returns the theoretical false-positive
 // probability at the current fill level: (1 - e^{-kn/m})^k.

@@ -114,6 +114,29 @@ func TestEmptyFilterContainsNothing(t *testing.T) {
 	}
 }
 
+// TestBitsAllocatedOnFirstAdd: New only sizes the filter; the bit array
+// appears with the first Add, and SizeBytes reports it either way.
+func TestBitsAllocatedOnFirstAdd(t *testing.T) {
+	f, err := New(1000, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := f.SizeBytes()
+	if f.bits != nil {
+		t.Fatal("New allocated the bit array")
+	}
+	if f.MayContain(fp.Of([]byte("x"))) {
+		t.Fatal("unallocated filter reported a key")
+	}
+	f.Add(fp.Of([]byte("x")))
+	if len(f.bits)*8 != size || f.SizeBytes() != size {
+		t.Fatalf("allocated %d bytes, SizeBytes %d before and %d after", len(f.bits)*8, size, f.SizeBytes())
+	}
+	if !f.MayContain(fp.Of([]byte("x"))) {
+		t.Fatal("added key missing")
+	}
+}
+
 func TestReset(t *testing.T) {
 	f, err := New(100, 0.01)
 	if err != nil {

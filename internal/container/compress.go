@@ -97,7 +97,7 @@ func (s *CompressedStore) Get(id ID) (*Container, error) {
 	if err != nil {
 		return nil, err
 	}
-	compressed, err := carrier.Get(carrierFP)
+	compressed, err := carrier.View(carrierFP)
 	if err != nil {
 		return nil, fmt.Errorf("container %d: not a compressed carrier: %w", id, err)
 	}

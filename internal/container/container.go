@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"hidestore/internal/fp"
 )
@@ -125,6 +124,16 @@ func (c *Container) Add(f fp.FP, data []byte) error {
 	if _, ok := c.entries[f]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, f.Short())
 	}
+	if cap(c.data)-len(c.data) < len(data) {
+		// Grow straight to capacity: a container being filled reserves
+		// its payload once instead of regrowing (and recopying) it in
+		// append-sized steps. A decoded container's payload is capped at
+		// its length, so its first Add lands here too and never writes
+		// into the read buffer the payload aliases.
+		grown := make([]byte, len(c.data), c.capacity)
+		copy(grown, c.data)
+		c.data = grown
+	}
 	c.entries[f] = Entry{FP: f, Offset: uint32(len(c.data)), Size: uint32(len(data))}
 	c.order = append(c.order, f)
 	c.data = append(c.data, data...)
@@ -137,15 +146,31 @@ func (c *Container) Has(f fp.FP) bool {
 	return ok
 }
 
-// Get returns a copy of the chunk payload for f.
+// Get returns a copy of the chunk payload for f. Use it for bytes
+// that outlive the container, such as a chunk cache's entries: a copy
+// does not pin the whole container image in memory.
 func (c *Container) Get(f fp.FP) ([]byte, error) {
+	v, err := c.View(f)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	return out, nil
+}
+
+// View returns the chunk payload for f without copying it: a slice of
+// the container's image. The caller must not write through it, and
+// should use it only to copy or hash the bytes at once. Its capacity
+// ends at the chunk's end, so an append on it reallocates instead of
+// overwriting the next chunk.
+func (c *Container) View(f fp.FP) ([]byte, error) {
 	e, ok := c.entries[f]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s in container %d", ErrNotFound, f.Short(), c.id)
 	}
-	out := make([]byte, e.Size)
-	copy(out, c.data[e.Offset:e.Offset+e.Size])
-	return out, nil
+	end := e.Offset + e.Size
+	return c.data[e.Offset:end:end], nil
 }
 
 // Entry returns the metadata entry for f.
@@ -236,35 +261,50 @@ const (
 //	magic u32 | version u16 | pad u16 | id u32 | count u32 | dataSize u32 |
 //	crc u32 | count×(fp[20] | offset u32 | size u32) | data bytes
 //
-// The CRC covers entries and data, enabling corruption detection on read.
+// Entries follow insertion order and their payloads are packed in that
+// order from offset 0, so the encoding of a container with dead space
+// equals that of its compacted copy. The encoder writes each live
+// payload straight into the output buffer, renumbering offsets as it
+// goes. The CRC covers entries and data, enabling corruption detection
+// on read.
 func (c *Container) MarshalBinary() ([]byte, error) {
-	packed := c
-	if c.dead > 0 {
-		packed = c.Compacted(c.id)
-	}
-	entries := packed.Entries()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Offset < entries[j].Offset })
-	buf := make([]byte, _headerSize+len(entries)*_entrySize+len(packed.data))
+	count := len(c.entries)
+	dataStart := _headerSize + count*_entrySize
+	buf := make([]byte, dataStart+c.LiveSize())
 	binary.BigEndian.PutUint32(buf[0:], _magic)
 	binary.BigEndian.PutUint16(buf[4:], _formatVersion)
-	binary.BigEndian.PutUint32(buf[8:], uint32(packed.id))
-	binary.BigEndian.PutUint32(buf[12:], uint32(len(entries)))
-	binary.BigEndian.PutUint32(buf[16:], uint32(len(packed.data)))
-	off := _headerSize
-	for _, e := range entries {
-		copy(buf[off:], e.FP[:])
-		binary.BigEndian.PutUint32(buf[off+fp.Size:], e.Offset)
+	binary.BigEndian.PutUint32(buf[8:], uint32(c.id))
+	binary.BigEndian.PutUint32(buf[12:], uint32(count))
+	binary.BigEndian.PutUint32(buf[16:], uint32(c.LiveSize()))
+	off, pos := _headerSize, 0
+	for _, f := range c.order {
+		e, ok := c.entries[f]
+		if !ok {
+			continue
+		}
+		// A fingerprint removed and added again sits in order twice, so
+		// its second listing would run past the entry table.
+		if off == dataStart {
+			return nil, fmt.Errorf("container %d: a fingerprint is listed twice in insertion order", c.id)
+		}
+		copy(buf[off:], f[:])
+		binary.BigEndian.PutUint32(buf[off+fp.Size:], uint32(pos))
 		binary.BigEndian.PutUint32(buf[off+fp.Size+4:], e.Size)
+		pos += copy(buf[dataStart+pos:], c.data[e.Offset:e.Offset+e.Size])
 		off += _entrySize
 	}
-	copy(buf[off:], packed.data)
 	crc := crc32.ChecksumIEEE(buf[_headerSize:])
 	binary.BigEndian.PutUint32(buf[20:], crc)
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a container encoded by MarshalBinary. The
-// capacity is restored to DefaultCapacity unless the payload is larger.
+// UnmarshalBinary decodes a container encoded by MarshalBinary. It takes
+// ownership of buf: the decoded container's payload aliases it, so the
+// caller must not modify buf afterwards. Only the canonical layout
+// MarshalBinary writes is accepted: entry offsets contiguous from 0 in
+// entry order, covering exactly the payload, with no fingerprint twice.
+// The capacity is restored to DefaultCapacity unless the payload is
+// larger.
 func UnmarshalBinary(buf []byte) (*Container, error) {
 	if len(buf) < _headerSize {
 		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(buf))
@@ -279,35 +319,40 @@ func UnmarshalBinary(buf []byte) (*Container, error) {
 	count := int(binary.BigEndian.Uint32(buf[12:]))
 	dataSize := int(binary.BigEndian.Uint32(buf[16:]))
 	wantCRC := binary.BigEndian.Uint32(buf[20:])
-	need := _headerSize + count*_entrySize + dataSize
-	if len(buf) != need {
-		return nil, fmt.Errorf("%w: length %d, want %d", ErrCorrupt, len(buf), need)
+	dataStart := _headerSize + count*_entrySize
+	if len(buf) != dataStart+dataSize {
+		return nil, fmt.Errorf("%w: length %d, want %d", ErrCorrupt, len(buf), dataStart+dataSize)
 	}
 	if crc32.ChecksumIEEE(buf[_headerSize:]) != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	capacity := DefaultCapacity
-	if dataSize > capacity {
-		capacity = dataSize
+	c := &Container{
+		id:       id,
+		capacity: max(DefaultCapacity, dataSize),
+		entries:  make(map[fp.FP]Entry, count),
+		order:    make([]fp.FP, count),
+		data:     buf[dataStart:len(buf):len(buf)],
 	}
-	c := NewWithCapacity(id, capacity)
-	off := _headerSize
-	dataStart := _headerSize + count*_entrySize
-	for i := 0; i < count; i++ {
-		f, err := fp.FromBytes(buf[off : off+fp.Size])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	next := 0
+	for i, off := 0, _headerSize; i < count; i, off = i+1, off+_entrySize {
+		f := fp.FP(buf[off : off+fp.Size])
+		chunkOff := int(binary.BigEndian.Uint32(buf[off+fp.Size:]))
+		chunkSize := int(binary.BigEndian.Uint32(buf[off+fp.Size+4:]))
+		if chunkOff != next {
+			return nil, fmt.Errorf("%w: entry %d at offset %d, want %d", ErrCorrupt, i, chunkOff, next)
 		}
-		chunkOff := binary.BigEndian.Uint32(buf[off+fp.Size:])
-		chunkSize := binary.BigEndian.Uint32(buf[off+fp.Size+4:])
-		if int(chunkOff)+int(chunkSize) > dataSize {
+		if chunkSize > dataSize-next {
 			return nil, fmt.Errorf("%w: entry %d out of range", ErrCorrupt, i)
 		}
-		payload := buf[dataStart+int(chunkOff) : dataStart+int(chunkOff)+int(chunkSize)]
-		if err := c.Add(f, payload); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		if _, dup := c.entries[f]; dup {
+			return nil, fmt.Errorf("%w: entry %d repeats %s", ErrCorrupt, i, f.Short())
 		}
-		off += _entrySize
+		c.entries[f] = Entry{FP: f, Offset: uint32(chunkOff), Size: uint32(chunkSize)}
+		c.order[i] = f
+		next += chunkSize
+	}
+	if next != dataSize {
+		return nil, fmt.Errorf("%w: entries cover %d of %d payload bytes", ErrCorrupt, next, dataSize)
 	}
 	return c, nil
 }

@@ -244,6 +244,16 @@ func TestUnmarshalCorruption(t *testing.T) {
 		{"flipped data bit", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }},
 		{"flipped entry bit", func(b []byte) []byte { b[_headerSize] ^= 0x01; return b }},
 	}
+	// Checksum-valid images whose layout is not the canonical one.
+	for name, img := range nonCanonicalImages() {
+		tests = append(tests, struct {
+			name   string
+			mutate func([]byte) []byte
+		}{name, func([]byte) []byte { return img }})
+	}
+	if _, err := UnmarshalBinary(canonicalImage()); err != nil {
+		t.Fatalf("canonical layout rejected: %v", err)
+	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			mutated := tt.mutate(append([]byte(nil), buf...))

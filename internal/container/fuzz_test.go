@@ -23,6 +23,10 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(seed[:10])
+	f.Add(canonicalImage())
+	for _, img := range nonCanonicalImages() {
+		f.Add(img)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := UnmarshalBinary(data)
 		if err != nil {

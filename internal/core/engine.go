@@ -733,7 +733,7 @@ func (e *Engine) migrateCold(v int) (map[fp.FP]container.ID, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: cold chunk %s references unknown active container %d", vc.f.Short(), vc.from)
 		}
-		data, err := src.Get(vc.f)
+		data, err := src.View(vc.f)
 		if err != nil {
 			return nil, fmt.Errorf("core: migrate %s: %w", vc.f.Short(), err)
 		}
@@ -823,7 +823,7 @@ func (e *Engine) mergeSparseActives() error {
 	}
 	for _, src := range sparse {
 		for _, f := range src.Fingerprints() {
-			data, err := src.Get(f)
+			data, err := src.View(f)
 			if err != nil {
 				return err
 			}

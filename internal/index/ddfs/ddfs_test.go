@@ -121,3 +121,53 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatalf("defaults should be valid: %v", err)
 	}
 }
+
+// TestLazyFilterMatchesEager: the Bloom filter allocates its bit array
+// on the first insert. An index opened that way must decide every chunk
+// exactly as one whose filter was allocated up front, and report the
+// same stats and memory footprint, before and after its first commit.
+func TestLazyFilterMatchesEager(t *testing.T) {
+	opts := Options{ExpectedChunks: 1 << 8, CacheContainers: 2}
+	lazy, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Adding a key and resetting leaves an allocated, all-zero filter.
+	eager.filter.Add(fp.Of([]byte("allocate")))
+	eager.filter.Reset()
+
+	for v := 0; v < 6; v++ {
+		// Each version repeats half of the previous one's chunks, so the
+		// filter, the locality cache and the full index all answer.
+		s := append(seg("v"+strconv.Itoa(v), 300), seg("v"+strconv.Itoa(v-1), 150)...)
+		got, want := lazy.Dedup(s), eager.Dedup(s)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("v%d chunk %d: lazy filter decided %+v, eager %+v", v, i, got[i], want[i])
+			}
+		}
+		if lazy.Stats() != eager.Stats() {
+			t.Fatalf("v%d: lazy stats %+v, eager %+v", v, lazy.Stats(), eager.Stats())
+		}
+		if lazy.MemoryBytes() != eager.MemoryBytes() {
+			t.Fatalf("v%d: lazy memory %d, eager %d", v, lazy.MemoryBytes(), eager.MemoryBytes())
+		}
+		cids := make([]container.ID, len(s))
+		for i, r := range want {
+			if !r.Duplicate {
+				cids[i] = container.ID(v*4 + 1 + i/100)
+			}
+		}
+		lazy.Commit(s, cids)
+		eager.Commit(s, cids)
+		lazy.EndVersion()
+		eager.EndVersion()
+	}
+	if lazy.Stats().DiskLookups == 0 || lazy.Stats().CacheHits == 0 {
+		t.Fatalf("workload never reached the full index or the cache: %+v", lazy.Stats())
+	}
+}

@@ -25,7 +25,7 @@ const spanTargetBytes = 1 << 20
 // of src" (src != nil) or "the payload is already in hand" (a chunk
 // cache hit). Holding the *container.Container rather than copied
 // bytes is what lets the copy itself move off the policy goroutine;
-// containers are immutable while a restore runs, so concurrent Gets
+// containers are immutable while a restore runs, so concurrent Views
 // from span workers are safe.
 type assemblyOp struct {
 	src  *container.Container
@@ -65,10 +65,12 @@ func newAssembler(w io.Writer, stats *Stats) assembler {
 	return &serialAssembler{w: w, stats: stats}
 }
 
-// copyChunk materializes one chunk instruction, enforcing the recipe's
-// size so a corrupt payload cannot silently shift every later byte.
+// copyChunk resolves one chunk instruction to a read-only view of its
+// payload, enforcing the recipe's size so a corrupt payload cannot
+// silently shift every later byte. Both assemblers append the view to
+// their output at once, which is the chunk's only copy.
 func copyChunk(src *container.Container, e recipe.Entry) ([]byte, error) {
-	data, err := src.Get(e.FP)
+	data, err := src.View(e.FP)
 	if err != nil {
 		return nil, fmt.Errorf("restore: container %d: %w", src.ID(), err)
 	}

@@ -39,7 +39,8 @@ const DefaultPrefetchDepth = 8
 // container of the sequence (true for the HiDeStore engine's resolved
 // recipes). If rewriting duplicates a fingerprint across containers, a
 // chunk cache may skip a planned container; the restore stays
-// byte-correct but the underlying store then sees the skipped read.
+// byte-correct, and the underlying store sees the skipped read only if
+// a worker had already started it (see drainSkipped).
 //
 // Get must be called from a single goroutine (the cache policy); Close
 // releases the worker pool and is safe to call even if Get never ran.
@@ -146,10 +147,12 @@ func (p *PrefetchFetcher) run(ctx context.Context) {
 	p.cancel = cancel
 	g, gctx := pipeline.WithContext(ictx)
 	p.group, p.pipeCtx = g, gctx
-	// queue's capacity bounds the read-ahead window; work is unbuffered
-	// so workers pick items up in plan order.
+	// queue's capacity bounds the read-ahead window. work hands the same
+	// items to the workers in plan order; its buffer lets the window fill
+	// while every worker is busy, so an item can still be idle (and be
+	// abandoned, see drainSkipped) after later items were dispatched.
 	p.queue = make(chan *prefetchItem, p.depth)
-	work := make(chan *prefetchItem)
+	work := make(chan *prefetchItem, p.depth)
 	plan := p.plan
 	g.Go(func() error {
 		defer close(p.queue)
@@ -184,6 +187,9 @@ func (p *PrefetchFetcher) run(ctx context.Context) {
 				case it, ok := <-work:
 					if !ok {
 						return nil
+					}
+					if gctx.Err() != nil {
+						return gctx.Err() // Close: issue no further reads
 					}
 					if !it.tryTake() {
 						continue // its awaiter already read through
@@ -237,18 +243,20 @@ func (p *PrefetchFetcher) Get(ctx context.Context, id container.ID) (*container.
 
 // drainSkipped evicts stashed items the policy can no longer request.
 // First requests arrive in plan order, so once position k is handed
-// over, a stashed item at an earlier position was skipped outright —
-// its fetched outcome is dropped, its window occupancy returned, and
-// the id unmarked from the plan so a late (unplanned) request for it
-// reads through directly instead of scanning a queue that will never
-// deliver it again.
+// over, a stashed item at an earlier position was skipped outright. Each
+// is claimed through the same CAS await uses: an item no worker has
+// taken yet is abandoned, so no read is ever issued for it; a taken
+// item's outcome lands in its buffered channel and is dropped. Either
+// way its window occupancy is returned and the id unmarked from the plan,
+// so a late (unplanned) request for it reads through directly instead of
+// scanning a queue that will never deliver it again.
 func (p *PrefetchFetcher) drainSkipped(k int) {
 	for sid, it := range p.stash {
 		if p.pos[sid] < k {
 			delete(p.stash, sid)
 			delete(p.planned, sid)
+			it.abandon()
 			p.windowLeave()
-			_ = it // the worker's outcome (buffered in it.ch) is dropped
 		}
 	}
 }
@@ -341,7 +349,15 @@ func (p *PrefetchFetcher) Observe(mx *obs.RestoreMetrics) {
 // drain. Safe to call when Get never started the pipeline, and more than
 // once.
 func (p *PrefetchFetcher) Close() {
-	// An aborted restore leaves unconsumed items in the window; return
+	if p.cancel != nil {
+		p.cancel()
+		// Workers never block (item channels are buffered), so Wait
+		// returns promptly; its error is the cancellation we just caused.
+		//hidelint:ignore discarded-error Wait only reports the cancellation this Close just triggered
+		_ = p.group.Wait()
+	}
+	// Only now has the dispatcher stopped entering items into the
+	// window. An aborted restore leaves unconsumed items there; return
 	// their occupancy so the gauge reads 0 between restores, and drop
 	// any stashed outcomes so their container images can be collected.
 	clear(p.stash)
@@ -350,14 +366,6 @@ func (p *PrefetchFetcher) Close() {
 			p.mx.PrefetchOccupancy.Add(-n)
 		}
 	}
-	if p.cancel == nil {
-		return
-	}
-	p.cancel()
-	// Workers never block (item channels are buffered), so Wait returns
-	// promptly; its error is the cancellation we just caused.
-	//hidelint:ignore discarded-error Wait only reports the cancellation this Close just triggered
-	_ = p.group.Wait()
 }
 
 // MaybePrefetch wraps fetch with a PrefetchFetcher according to depth:
