@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench microbench vet lint crash remote-smoke restore-bench observatory-smoke check
+.PHONY: build test race bench microbench vet fmt lint crash remote-smoke restore-bench observatory-smoke check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,14 @@ microbench:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file of the module's packages must be gofmt-clean. The file
+# list comes from go list, so testdata/ fixtures (which may be
+# deliberately odd) and the nested hsbench module are not checked.
+GOFILES_TMPL = {{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{range .TestGoFiles}}{{$$d}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$$d}}/{{.}} {{end}}{{range .IgnoredGoFiles}}{{$$d}}/{{.}} {{end}}
+fmt:
+	@unformatted=$$(gofmt -l $$($(GO) list -f '$(GOFILES_TMPL)' ./...)); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 # hidelint is the project-specific static-analysis gate: discarded
 # errors, dead context plumbing, panics in library code, store
@@ -86,4 +94,4 @@ observatory-smoke:
 	.obs-smoke/hs -dir .obs-smoke/store analyze
 	rm -rf .obs-smoke
 
-check: build test race vet lint crash remote-smoke restore-bench observatory-smoke
+check: build test race vet fmt lint crash remote-smoke restore-bench observatory-smoke

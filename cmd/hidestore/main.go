@@ -84,7 +84,6 @@ func runCtx(ctx context.Context, args []string) error {
 		prefetch = fs.Int("prefetch", 0, "restore read-ahead depth in containers (0 = default, negative disables)")
 		workers  = fs.Int("restore-workers", 0, "parallel restore workers: >1 widens the container-fetch pool and assembles chunk spans out of order (bytes and read counts are identical to serial; 0/1 = serial)")
 		lanes    = fs.Int("chunk-lanes", 0, "parallel chunking lanes: >1 chunks lane segments speculatively and re-stitches them (the chunk sequence is bit-identical to sequential; 0/1 = sequential)")
-		shards   = fs.Int("index-shards", 0, "fingerprint-index shard count, rounded up to a power of two (0 = default)")
 		compress = fs.Bool("compress", false, "DEFLATE-compress containers at rest")
 		repair   = fs.Bool("repair", false, "fsck only: quarantine corrupt containers and name affected versions")
 		throttle = fs.Float64("scrub-throttle", 0, "scrub only: verification I/O cap in MB/s (0 = default 32, negative = unthrottled)")
@@ -153,7 +152,6 @@ func runCtx(ctx context.Context, args []string) error {
 		PrefetchDepth:  *prefetch,
 		RestoreWorkers: *workers,
 		ChunkLanes:     *lanes,
-		IndexShards:    *shards,
 		Compress:       *compress,
 		Metrics:        reg,
 		Tracer:         tracer,

@@ -158,6 +158,50 @@ func TestFileBackedSystem(t *testing.T) {
 	}
 }
 
+// TestBaselineReopenContinuesVersions pins that a reopened baseline
+// store continues its version and container numbering: a backup after
+// the reopen is version 3, and it must not overwrite the containers of
+// versions 1 and 2, so all three restore byte-identically.
+func TestBaselineReopenContinuesVersions(t *testing.T) {
+	cfg := BaselineConfig{Config: Config{
+		Dir:           t.TempDir(),
+		ContainerSize: 64 << 10, MinChunk: 1024, AvgChunk: 2048, MaxChunk: 8192,
+	}}
+	versions := testVersions(t, 3)
+	ctx := context.Background()
+	backup := func(sys *System, data []byte, want int) {
+		t.Helper()
+		rep, err := sys.Backup(ctx, bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Version != want {
+			t.Fatalf("backup returned version %d, want %d", rep.Version, want)
+		}
+	}
+	sys, err := OpenBaseline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup(sys, versions[0], 1)
+	backup(sys, versions[1], 2)
+
+	sys, err = OpenBaseline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup(sys, versions[2], 3)
+	for i, want := range versions {
+		var buf bytes.Buffer
+		if _, err := sys.Restore(ctx, i+1, &buf); err != nil {
+			t.Fatalf("restore v%d: %v", i+1, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("v%d restored %d bytes that differ from the %d backed up", i+1, buf.Len(), len(want))
+		}
+	}
+}
+
 func TestRemoteBackendSystem(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()

@@ -39,4 +39,3 @@ func aeScan(win []byte, min, window int) int {
 	}
 	return n
 }
-

@@ -201,4 +201,3 @@ func rabinScanSkip(tab *rabinTables, win []byte, min int, mask Poly) int {
 	}
 	return n
 }
-

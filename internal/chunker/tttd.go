@@ -142,4 +142,3 @@ func tttdScanSkip(tab *rabinTables, win []byte, min int, mainDiv, backDiv Poly, 
 	}
 	return n
 }
-

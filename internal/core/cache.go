@@ -35,11 +35,12 @@ import (
 // 4-byte size (§4.1).
 const EntryBytes = fp.Size + 4 + 4
 
-// DefaultIndexShards is the fingerprint cache's default shard count.
-// Sixteen shards keep the collision probability for a handful of hash
-// workers low while the per-shard maps stay large enough to amortize
-// map overhead.
-const DefaultIndexShards = 16
+// indexShards is the fingerprint cache's shard count. Sixteen shards
+// keep lock collisions between the backup pipeline's hash workers rare
+// while the per-shard maps stay large enough to amortize map overhead.
+// EXPERIMENTS.md "Fingerprint-cache shards" has paired runs of one
+// shard against sixteen.
+const indexShards = 16
 
 // cacheShard is one lock domain of the fingerprint cache: a slice of
 // the fingerprint space selected by the fingerprint's leading byte,
@@ -75,13 +76,13 @@ type cacheShard struct {
 // the full engine). The set of reachable chunks is identical to the
 // paper's construction; only the bookkeeping differs.
 //
-// The map is sharded by fingerprint prefix (power-of-two shard count,
-// one RWMutex per shard) so concurrent lookups from the backup
-// pipeline's hash workers — and, in the daemon, many tenants — do not
-// serialize on one lock. The speculative read path (probe) takes only
-// a shard read-lock; mutating classifications take the shard's write
-// lock. Version transitions (EndVersion) are not concurrency-safe with
-// classification; the engine runs them strictly between pipelines.
+// The map is sharded by fingerprint prefix (indexShards lock domains,
+// one RWMutex each) so concurrent lookups from the backup pipeline's
+// hash workers do not serialize on one lock. The speculative read path
+// (probe) takes only a shard read-lock; mutating classifications take
+// the shard's write lock. Version transitions (EndVersion) are not
+// concurrency-safe with classification; the engine runs them strictly
+// between pipelines.
 type IndexView struct {
 	// window is how many previous versions the cache covers (1 for most
 	// workloads; 2 for macos-like workloads, §4.1).
@@ -94,32 +95,23 @@ type IndexView struct {
 var _ index.Index = (*IndexView)(nil)
 
 // NewIndexView creates a HiDeStore fingerprint cache with the given
-// window (0 means the default of 1) and the default shard count.
+// window (0 means the default of 1).
 func NewIndexView(window int) *IndexView {
-	return NewIndexViewSharded(window, 0)
+	return newIndexView(window, indexShards)
 }
 
-// NewIndexViewSharded is NewIndexView with an explicit shard count,
-// rounded up to a power of two and capped at 256 (the shard selector
-// is the fingerprint's leading byte). 0 selects DefaultIndexShards.
-func NewIndexViewSharded(window, shards int) *IndexView {
+// newIndexView is NewIndexView with an explicit shard count, which must
+// be a power of two no larger than 256 (the shard selector is the
+// fingerprint's leading byte). Tests use one shard as the reference the
+// sharded cache must match.
+func newIndexView(window, shards int) *IndexView {
 	if window <= 0 {
 		window = 1
 	}
-	if shards <= 0 {
-		shards = DefaultIndexShards
-	}
-	if shards > 256 {
-		shards = 256
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
 	v := &IndexView{
 		window: window,
-		mask:   uint8(n - 1),
-		shards: make([]cacheShard, n),
+		mask:   uint8(shards - 1),
+		shards: make([]cacheShard, shards),
 	}
 	for i := range v.shards {
 		v.shards[i].active = make(map[fp.FP]container.ID)

@@ -74,9 +74,9 @@ func TestCrashMatrixBackup(t *testing.T) {
 		[]fault.Kind{fault.Fail, fault.Torn, fault.NoSpace})
 }
 
-// crashOpenLanes is crashOpen with multi-lane chunking and a sharded
-// fingerprint cache, so the matrix also proves the parallel ingest path
-// commits exactly what the sequential path does at every crash point.
+// crashOpenLanes is crashOpen with multi-lane chunking, so the matrix
+// also proves the parallel ingest path commits exactly what the
+// sequential path does at every crash point.
 func crashOpenLanes(dir string, inj *fault.Injector) (backup.Engine, error) {
 	cs, err := container.NewFileStore(filepath.Join(dir, "containers"))
 	if err != nil {
@@ -93,7 +93,6 @@ func crashOpenLanes(dir string, inj *fault.Injector) (backup.Engine, error) {
 		Window:            1,
 		ChunkParams:       chunker.Params{Min: 1024, Avg: 2048, Max: 8192},
 		ChunkLanes:        2,
-		IndexShards:       4,
 		RestoreCache:      restorecache.NewFAA(1 << 20),
 		StatePath:         filepath.Join(dir, "state.hds"),
 		WriteState:        inj.WrapWrite(durable.WriteFileAtomic),
@@ -101,7 +100,7 @@ func crashOpenLanes(dir string, inj *fault.Injector) (backup.Engine, error) {
 }
 
 // TestCrashMatrixBackupLanes re-runs the backup crash matrix with
-// ChunkLanes > 1 and a sharded cache: committed versions must restore
+// ChunkLanes > 1: committed versions must restore
 // byte-identically however the parallel pipeline was cut down.
 func TestCrashMatrixBackupLanes(t *testing.T) {
 	versions := backuptest.Materialize(t, crashWorkload(3))

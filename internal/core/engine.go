@@ -65,18 +65,6 @@ type Config struct {
 	// chunk sequence bit-identical to the sequential chunker's. 0 or 1
 	// chunks sequentially (the default).
 	ChunkLanes int
-	// IndexShards is the fingerprint cache's shard count (rounded up to
-	// a power of two, max 256). Shards bound lock contention between
-	// the hash workers' speculative index probes; they never change
-	// dedup decisions. 0 selects DefaultIndexShards.
-	IndexShards int
-	// AsyncCommitDepth bounds the asynchronous container-commit queue:
-	// sealed containers are committed by a background writer while
-	// chunking continues, and a barrier before the recipe write
-	// preserves the containers → recipe → state durability order.
-	// 0 selects the default depth of 2 (async on); negative disables
-	// the writer and commits synchronously at each seal.
-	AsyncCommitDepth int
 	// StatePath, when set, persists the engine's resumable state (the
 	// fingerprint cache, active-container locations and deletion batches)
 	// after every Backup and Delete, and restores it at New — so a
@@ -196,7 +184,7 @@ type Engine struct {
 	// path" for the ownership rules.
 	pool *bufpool.Pool
 	// writer is the asynchronous container committer, non-nil only
-	// while a Backup with async commit enabled is running.
+	// while a Backup is running, up to its barrier.
 	writer *container.AsyncWriter
 
 	// Test hooks, nil in production. hashDelay stalls the fingerprint
@@ -235,7 +223,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:              cfg,
-		cache:            NewIndexViewSharded(cfg.Window, cfg.IndexShards),
+		cache:            NewIndexView(cfg.Window),
 		activeByFP:       make(map[fp.FP]container.ID),
 		activeContainers: make(map[container.ID]*container.Container),
 		batches:          make(map[int]*archivalBatch),
@@ -335,7 +323,7 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 		}
 		span.End()
 	}()
-	var chunkNS int64           // single-goroutine stage (the producer)
+	var chunkNS int64               // single-goroutine stage (the producer)
 	var fpNS, lookupNS atomic.Int64 // fingerprint and probe run on HashWorkers goroutines
 	var mxChunk, mxFP, mxLookup *obs.Histogram
 	if e.mx != nil {
@@ -346,32 +334,32 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err != nil {
 		return backup.BackupReport{}, err
 	}
-	if e.cfg.AsyncCommitDepth >= 0 {
-		e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, e.cfg.AsyncCommitDepth,
-			func(c *container.Container, t0 time.Time, d time.Duration) {
-				// Writer-goroutine callback; both sinks are safe for
-				// concurrent use.
-				if e.mx != nil {
-					e.mx.ContainerWriteNS.Observe(uint64(d))
-				}
-				if e.tracer != nil {
-					e.tracer.EmitStage("container.flush.async", span, t0, d,
-						map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
-				}
-			})
-		defer func() {
-			// Backstop for early-error returns: no queued commit may
-			// outlive Backup, and no commit failure may go unreported.
-			// The happy path has already barriered and cleared e.writer.
-			if e.writer != nil {
-				w := e.writer
-				e.writer = nil
-				if werr := w.Barrier(); werr != nil && retErr == nil {
-					retErr = werr
-				}
+	// Sealed containers commit on a background writer (queue depth 2,
+	// the writer's default) while chunking continues.
+	e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, 0,
+		func(c *container.Container, t0 time.Time, d time.Duration) {
+			// Writer-goroutine callback; both sinks are safe for
+			// concurrent use.
+			if e.mx != nil {
+				e.mx.ContainerWriteNS.Observe(uint64(d))
 			}
-		}()
-	}
+			if e.tracer != nil {
+				e.tracer.EmitStage("container.flush.async", span, t0, d,
+					map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
+			}
+		})
+	defer func() {
+		// Backstop for early-error returns: no queued commit may
+		// outlive Backup, and no commit failure may go unreported.
+		// The happy path has already barriered and cleared e.writer.
+		if e.writer != nil {
+			w := e.writer
+			e.writer = nil
+			if werr := w.Barrier(); werr != nil && retErr == nil {
+				retErr = werr
+			}
+		}
+	}()
 	g, gctx := pipeline.WithContext(ctx)
 	// credits bounds the chunks in flight between the chunker and the
 	// in-order sink: the producer takes one credit per emitted chunk and
@@ -986,7 +974,7 @@ func (e *Engine) restoreWith(ctx context.Context, version int, w io.Writer, fetc
 	// with RestoreWorkers > 1 the policy's output is routed through the
 	// parallel out-of-order assembler; neither changes which containers
 	// the policy requests, so the identity holds at any worker count.
-	fetch, done := restorecache.MaybePrefetchParallel(fetch, resolved, e.cfg.PrefetchDepth, e.cfg.RestoreWorkers, e.rmx)
+	fetch, done := restorecache.MaybePrefetch(fetch, resolved, e.cfg.PrefetchDepth, e.cfg.RestoreWorkers, e.rmx)
 	defer done()
 	fetch = restorecache.ObserveFetcher(fetch, e.rmx, e.tracer, span)
 	out := w

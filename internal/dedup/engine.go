@@ -65,12 +65,6 @@ type Config struct {
 	// the chunk sequence is bit-identical to single-lane chunking. 0 or
 	// 1 chunks sequentially.
 	ChunkLanes int
-	// AsyncCommitDepth bounds the asynchronous container-commit queue:
-	// sealed containers are committed by a background writer while
-	// chunking continues, with a barrier before the recipe write. 0
-	// selects the default depth of 2 (async on); negative disables the
-	// writer and commits synchronously at each seal.
-	AsyncCommitDepth int
 	// Metrics, when set, mirrors backup/restore counters into the
 	// registry; nil disables the observability plane.
 	Metrics *obs.Registry
@@ -123,8 +117,12 @@ func (c *Config) setDefaults() error {
 type Engine struct {
 	cfg Config
 
+	// nextVersion and nextCID are the last version and container ID
+	// handed out; resumed reports whether they have been resumed from
+	// the stores (see resume).
 	nextVersion int
 	nextCID     container.ID
+	resumed     bool
 	open        *container.Container
 
 	logicalBytes uint64
@@ -135,7 +133,7 @@ type Engine struct {
 	// classified duplicate or copied into a container.
 	pool *bufpool.Pool
 	// writer is the asynchronous container committer, non-nil only
-	// while a Backup with async commit enabled is running.
+	// while a Backup is running, up to its barrier.
 	writer *container.AsyncWriter
 
 	// Observability bundles; nil when Config.Metrics is nil.
@@ -179,6 +177,9 @@ type hashedChunk struct {
 // Backup implements backup.Engine.
 func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.BackupReport, retErr error) {
 	start := time.Now()
+	if err := e.resume(); err != nil {
+		return backup.BackupReport{}, err
+	}
 	v := e.nextVersion + 1
 	indexBefore := e.cfg.Index.Stats()
 	rewriteBefore := e.cfg.Rewriter.Stats()
@@ -190,29 +191,29 @@ func (e *Engine) Backup(ctx context.Context, version io.Reader) (rep backup.Back
 	if err != nil {
 		return backup.BackupReport{}, err
 	}
-	if e.cfg.AsyncCommitDepth >= 0 {
-		e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, e.cfg.AsyncCommitDepth,
-			func(c *container.Container, t0 time.Time, d time.Duration) {
-				if e.mx != nil {
-					e.mx.ContainerWriteNS.Observe(uint64(d))
-				}
-				if e.tracer != nil {
-					e.tracer.EmitStage("container.flush.async", nil, t0, d,
-						map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
-				}
-			})
-		defer func() {
-			// Backstop for early-error returns: no queued commit may
-			// outlive Backup, and no commit failure may go unreported.
-			if e.writer != nil {
-				w := e.writer
-				e.writer = nil
-				if werr := w.Barrier(); werr != nil && retErr == nil {
-					retErr = werr
-				}
+	// Sealed containers commit on a background writer (queue depth 2,
+	// the writer's default) while chunking continues.
+	e.writer = container.NewAsyncWriter(ctx, e.cfg.Store, 0,
+		func(c *container.Container, t0 time.Time, d time.Duration) {
+			if e.mx != nil {
+				e.mx.ContainerWriteNS.Observe(uint64(d))
 			}
-		}()
-	}
+			if e.tracer != nil {
+				e.tracer.EmitStage("container.flush.async", nil, t0, d,
+					map[string]int64{"container": int64(c.ID()), "bytes": int64(c.LiveSize())})
+			}
+		})
+	defer func() {
+		// Backstop for early-error returns: no queued commit may
+		// outlive Backup, and no commit failure may go unreported.
+		if e.writer != nil {
+			w := e.writer
+			e.writer = nil
+			if werr := w.Barrier(); werr != nil && retErr == nil {
+				retErr = werr
+			}
+		}
+	}()
 	g, gctx := pipeline.WithContext(ctx)
 	// credits bounds chunks in flight between the chunker and the
 	// in-order sink, capping the sink's reorder map (see the core
@@ -444,20 +445,39 @@ func (e *Engine) sealOpen() error {
 		e.open = nil
 		return nil
 	}
-	if e.writer != nil {
-		// Sealed images handed to the background committer are
-		// read-only until the barrier; this engine never mutates a
-		// sealed container during a backup.
-		if err := e.writer.Put(e.open); err != nil {
-			return err
-		}
-		e.open = nil
-		return nil
-	}
-	if err := e.cfg.Store.Put(e.open); err != nil {
+	// Sealed images handed to the background committer are read-only
+	// until the barrier; this engine never mutates a sealed container
+	// during a backup, and seals only while one runs.
+	if err := e.writer.Put(e.open); err != nil {
 		return err
 	}
 	e.open = nil
+	return nil
+}
+
+// resume continues the version and container numbering of a reopened
+// store, so a backup after a reopen neither reuses a committed version
+// number nor overwrites a committed container. It runs on the first
+// Backup rather than in New, so opening a store enumerates nothing.
+func (e *Engine) resume() error {
+	if e.resumed {
+		return nil
+	}
+	versions, err := e.cfg.Recipes.Versions()
+	if err != nil {
+		return err
+	}
+	ids, err := e.cfg.Store.IDs()
+	if err != nil {
+		return err
+	}
+	for _, v := range versions {
+		e.nextVersion = max(e.nextVersion, v)
+	}
+	for _, id := range ids {
+		e.nextCID = max(e.nextCID, id)
+	}
+	e.resumed = true
 	return nil
 }
 
@@ -482,7 +502,7 @@ func (e *Engine) Restore(ctx context.Context, version int, w io.Writer) (rep bac
 	}
 	// Observed above the prefetch layer, mirroring countingFetcher's
 	// position, so the trace/registry/Stats read counts agree.
-	fetch, done := restorecache.MaybePrefetchParallel(
+	fetch, done := restorecache.MaybePrefetch(
 		restorecache.StoreFetcher(e.cfg.Store), rec.Entries, e.cfg.PrefetchDepth, e.cfg.RestoreWorkers, e.rmx)
 	defer done()
 	fetch = restorecache.ObserveFetcher(fetch, e.rmx, e.tracer, span)

@@ -24,7 +24,7 @@ var BackupPerfSchemes = []string{"hidestore", "ddfs"}
 
 // BackupPerfSweep is the lanes × workers grid appended to the scheme
 // rows: HiDeStore re-run with multi-lane chunking and parallel hash
-// workers over the sharded fingerprint cache. Labels read
+// workers over HiDeStore's 16-shard fingerprint cache. Labels read
 // "hidestore-l<lanes>w<workers>". Wall-clock scaling tracks the
 // capture host's core count — on a single-CPU host the extra lanes
 // only add coordination cost — while allocs/chunk must hold steady at

@@ -70,10 +70,8 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Index is a fingerprint index. Implementations are not required to be
-// safe for concurrent use; the dedup engine serializes access. Indexes
-// that must be shared across goroutines (the daemon's tenants) can be
-// wrapped in index/sharded.Front, which adds per-shard locking — and,
-// for exact per-chunk schemes, shard-level concurrency.
+// safe for concurrent use: the dedup engine calls its index from one
+// goroutine, the in-order segment sink.
 type Index interface {
 	// Name identifies the scheme ("ddfs", "sparse", "silo", "hidestore").
 	Name() string

@@ -70,15 +70,7 @@ func (a *ALACC) Name() string { return "alacc" }
 
 // Restore implements Cache.
 func (a *ALACC) Restore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer) (Stats, error) {
-	var stats Stats
-	if err := validate(entries); err != nil {
-		return stats, err
-	}
-	counted := &countingFetcher{inner: fetch, stats: &stats}
-	asm := newAssembler(w, &stats)
-	err := a.restore(ctx, entries, counted, &stats, asm)
-	err = asm.finish(err)
-	return stats, err
+	return runRestore(ctx, entries, fetch, w, a.restore)
 }
 
 // restore keeps ALACC's two-pass area structure — all of an area's

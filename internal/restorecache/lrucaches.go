@@ -38,15 +38,7 @@ func (c *ContainerLRU) Name() string { return "container-lru" }
 
 // Restore implements Cache.
 func (c *ContainerLRU) Restore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer) (Stats, error) {
-	var stats Stats
-	if err := validate(entries); err != nil {
-		return stats, err
-	}
-	counted := &countingFetcher{inner: fetch, stats: &stats}
-	asm := newAssembler(w, &stats)
-	err := c.restore(ctx, entries, counted, &stats, asm)
-	err = asm.finish(err)
-	return stats, err
+	return runRestore(ctx, entries, fetch, w, c.restore)
 }
 
 func (c *ContainerLRU) restore(ctx context.Context, entries []recipe.Entry, counted Fetcher, stats *Stats, asm assembler) error {
@@ -102,15 +94,7 @@ func (c *ChunkLRU) Name() string { return "chunk-lru" }
 
 // Restore implements Cache.
 func (c *ChunkLRU) Restore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer) (Stats, error) {
-	var stats Stats
-	if err := validate(entries); err != nil {
-		return stats, err
-	}
-	counted := &countingFetcher{inner: fetch, stats: &stats}
-	asm := newAssembler(w, &stats)
-	err := c.restore(ctx, entries, counted, &stats, asm)
-	err = asm.finish(err)
-	return stats, err
+	return runRestore(ctx, entries, fetch, w, c.restore)
 }
 
 func (c *ChunkLRU) restore(ctx context.Context, entries []recipe.Entry, counted Fetcher, stats *Stats, asm assembler) error {
@@ -176,15 +160,7 @@ func (o *OPT) Name() string { return "opt" }
 
 // Restore implements Cache.
 func (o *OPT) Restore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer) (Stats, error) {
-	var stats Stats
-	if err := validate(entries); err != nil {
-		return stats, err
-	}
-	counted := &countingFetcher{inner: fetch, stats: &stats}
-	asm := newAssembler(w, &stats)
-	err := o.restore(ctx, entries, counted, &stats, asm)
-	err = asm.finish(err)
-	return stats, err
+	return runRestore(ctx, entries, fetch, w, o.restore)
 }
 
 func (o *OPT) restore(ctx context.Context, entries []recipe.Entry, counted Fetcher, stats *Stats, asm assembler) error {

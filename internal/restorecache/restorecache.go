@@ -145,3 +145,22 @@ func (f *countingFetcher) Get(ctx context.Context, id container.ID) (*container.
 	atomic.AddUint64(&f.stats.ContainerReads, 1)
 	return c, nil
 }
+
+// restoreLoop is one policy's restore: it fetches only through counted
+// and emits every chunk through asm.
+type restoreLoop func(ctx context.Context, entries []recipe.Entry, counted Fetcher, stats *Stats, asm assembler) error
+
+// runRestore is every policy's Restore: it validates the recipe, wraps
+// fetch in the one countingFetcher that Stats.ContainerReads comes
+// from, runs the policy's loop and flushes the assembler.
+func runRestore(ctx context.Context, entries []recipe.Entry, fetch Fetcher, w io.Writer, loop restoreLoop) (Stats, error) {
+	var stats Stats
+	if err := validate(entries); err != nil {
+		return stats, err
+	}
+	counted := &countingFetcher{inner: fetch, stats: &stats}
+	asm := newAssembler(w, &stats)
+	err := loop(ctx, entries, counted, &stats, asm)
+	err = asm.finish(err)
+	return stats, err
+}

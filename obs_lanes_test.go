@@ -10,7 +10,7 @@ import (
 
 // TestStageChunkAccountingWithLanes pins the stage-accounting identity
 // under concurrent chunking and sharded index lookups: with multiple
-// chunking lanes and a sharded fingerprint cache, each per-version
+// chunking lanes and the sharded fingerprint cache, each per-version
 // stage record (stage.chunking, stage.fingerprint, stage.index_lookup)
 // must still account for exactly the chunks the backup reports — lane
 // and shard contributions are summed at snapshot, never double-counted
@@ -19,7 +19,7 @@ func TestStageChunkAccountingWithLanes(t *testing.T) {
 	versions := testVersions(t, 3)
 	var traceBuf bytes.Buffer
 	tracer := obs.NewTracer(&traceBuf)
-	sys, err := Open(Config{Metrics: obs.NewRegistry(), Tracer: tracer, ChunkLanes: 3, IndexShards: 8})
+	sys, err := Open(Config{Metrics: obs.NewRegistry(), Tracer: tracer, ChunkLanes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +66,26 @@ func TestStageChunkAccountingWithLanes(t *testing.T) {
 	}
 }
 
-// TestLanesShardsBitIdenticalBackups pins end-to-end transparency: a
-// multi-lane, sharded-index system and a sequential single-shard system
-// fed the same versions must report identical chunk/byte accounting and
-// restore byte-identical streams.
-func TestLanesShardsBitIdenticalBackups(t *testing.T) {
+// TestLanesBitIdenticalBackups pins end-to-end transparency of
+// multi-lane chunking: a multi-lane and a sequential system fed the
+// same versions must report identical chunk/byte accounting and restore
+// byte-identical streams — for HiDeStore, for the exact baseline index
+// (DDFS) and for a sampling one (sparse indexing).
+func TestLanesBitIdenticalBackups(t *testing.T) {
 	versions := testVersions(t, 3)
 	type result struct {
 		chunks   []int
 		stored   []uint64
 		restored [][]byte
 	}
-	run := func(lanes, shards int) result {
-		sys, err := Open(Config{ChunkLanes: lanes, IndexShards: shards})
+	run := func(t *testing.T, indexName string, lanes int) result {
+		var sys *System
+		var err error
+		if indexName == "" {
+			sys, err = Open(Config{ChunkLanes: lanes})
+		} else {
+			sys, err = OpenBaseline(BaselineConfig{Index: indexName, Config: Config{ChunkLanes: lanes}})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,65 +108,22 @@ func TestLanesShardsBitIdenticalBackups(t *testing.T) {
 		}
 		return res
 	}
-	seq := run(1, 1)
-	par := run(4, 8)
-	for i := range versions {
-		if seq.chunks[i] != par.chunks[i] || seq.stored[i] != par.stored[i] {
-			t.Errorf("v%d accounting diverged: sequential %d chunks/%d stored, parallel %d/%d",
-				i+1, seq.chunks[i], seq.stored[i], par.chunks[i], par.stored[i])
-		}
-		if !bytes.Equal(seq.restored[i], par.restored[i]) {
-			t.Errorf("v%d restore bytes diverged between sequential and parallel systems", i+1)
-		}
-		if !bytes.Equal(par.restored[i], versions[i]) {
-			t.Errorf("v%d parallel restore does not match the original", i+1)
-		}
-	}
-}
-
-// TestBaselineIndexShardsTransparent pins OpenBaseline's sharding rules
-// at the system level: a sharded DDFS front must report the same
-// per-version accounting and restore the same bytes as the plain index,
-// and a sampling scheme (sparse indexing) must still work with the
-// shard knob set — it is forced onto the single-shard exclusive wrapper
-// because splitting its segments would change the sampling universe.
-func TestBaselineIndexShardsTransparent(t *testing.T) {
-	versions := testVersions(t, 3)
-	run := func(indexName string, shards, lanes int) (chunks []int, restored [][]byte) {
-		sys, err := OpenBaseline(BaselineConfig{
-			Index:  indexName,
-			Config: Config{IndexShards: shards, ChunkLanes: lanes},
+	for _, tc := range []struct{ name, index string }{{"hidestore", ""}, {"ddfs", "ddfs"}, {"sparse", "sparse"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := run(t, tc.index, 1)
+			par := run(t, tc.index, 4)
+			for i := range versions {
+				if seq.chunks[i] != par.chunks[i] || seq.stored[i] != par.stored[i] {
+					t.Errorf("v%d accounting diverged: sequential %d chunks/%d stored, parallel %d/%d",
+						i+1, seq.chunks[i], seq.stored[i], par.chunks[i], par.stored[i])
+				}
+				if !bytes.Equal(seq.restored[i], par.restored[i]) {
+					t.Errorf("v%d restore bytes diverged between sequential and parallel systems", i+1)
+				}
+				if !bytes.Equal(par.restored[i], versions[i]) {
+					t.Errorf("v%d parallel restore does not match the original", i+1)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		for _, v := range versions {
-			rep, err := sys.Backup(ctx, bytes.NewReader(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			chunks = append(chunks, rep.Chunks)
-		}
-		for i := range versions {
-			var out bytes.Buffer
-			if _, err := sys.Restore(ctx, i+1, &out); err != nil {
-				t.Fatal(err)
-			}
-			restored = append(restored, out.Bytes())
-		}
-		return chunks, restored
-	}
-	for _, indexName := range []string{"ddfs", "sparse"} {
-		plainChunks, plainBytes := run(indexName, 0, 1)
-		shardChunks, shardBytes := run(indexName, 8, 2)
-		for i := range versions {
-			if plainChunks[i] != shardChunks[i] {
-				t.Errorf("%s v%d: plain %d chunks, sharded %d", indexName, i+1, plainChunks[i], shardChunks[i])
-			}
-			if !bytes.Equal(shardBytes[i], versions[i]) || !bytes.Equal(plainBytes[i], shardBytes[i]) {
-				t.Errorf("%s v%d: restored bytes diverged", indexName, i+1)
-			}
-		}
 	}
 }
